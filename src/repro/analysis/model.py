@@ -214,8 +214,8 @@ class _SymbolicServeStage:
     def finish_request(self, rid: int) -> None:
         return None
 
-    def forward(self, rid: int, x: Any) -> np.ndarray:
-        return np.zeros((1, 1, 2))
+    def forward(self, rids: Sequence[int], x: Any) -> np.ndarray:
+        return np.zeros((len(rids), 1, 2))
 
 
 @dataclass
@@ -438,14 +438,16 @@ def serve_model(g_inter: int, n_requests: int, max_new_tokens: int = 2,
                          "pipeline never communicates)")
     if n_requests < 1 or max_new_tokens < 1:
         raise ValueError("need at least one request and one token")
+    if pipeline_limit is not None and pipeline_limit < 1:
+        raise ValueError("pipeline_limit must be >= 1")
 
     def make(capture: _Capture) -> Dict[int, Generator]:
         shell = object.__new__(PipelineServer)
         shell.cfg = None
         shell.g_inter = g_inter
         shell.max_batch = max_batch
-        shell.pipeline_limit = max(
-            1, pipeline_limit if pipeline_limit is not None else g_inter)
+        shell.pipeline_limit = (pipeline_limit if pipeline_limit is not None
+                                else g_inter)
         shell.max_active = (max_active if max_active is not None
                             else max_batch * shell.pipeline_limit)
         shell.tracer = None
@@ -505,6 +507,10 @@ def disagg_serve_model(g_prefill: int, g_decode: int, n_requests: int,
         raise ValueError("a one-rank world never communicates")
     if n_requests < 1 or max_new_tokens < 1:
         raise ValueError("need at least one request and one token")
+    for name, limit in (("pipeline_limit", pipeline_limit),
+                        ("prefill_limit", prefill_limit)):
+        if limit is not None and limit < 1:
+            raise ValueError(f"{name} must be >= 1")
     from ..fleet.engine import DisaggPipelineServer
 
     def make(capture: _Capture) -> Dict[int, Generator]:
@@ -514,10 +520,10 @@ def disagg_serve_model(g_prefill: int, g_decode: int, n_requests: int,
         shell.g_decode = g_decode
         shell.n_ranks = g_prefill + g_decode
         shell.max_batch = max_batch
-        shell.pipeline_limit = max(
-            1, pipeline_limit if pipeline_limit is not None else g_decode)
-        shell.prefill_limit = max(
-            1, prefill_limit if prefill_limit is not None else g_prefill)
+        shell.pipeline_limit = (pipeline_limit if pipeline_limit is not None
+                                else g_decode)
+        shell.prefill_limit = (prefill_limit if prefill_limit is not None
+                               else g_prefill)
         shell.max_active = (max_active if max_active is not None
                             else max_batch * shell.pipeline_limit)
         shell.recorder = None

@@ -46,7 +46,7 @@ from ..resilience import FaultPlan
 from ..runtime.stage import InferenceStage
 from ..runtime.transport import RECV, RankFailure, RankTransport
 from ..serve.engine import (PipelineServer, Request, TAG_ACT, TAG_STOP,
-                            TAG_TOKEN)
+                            TAG_TOKEN, split_rows, stack_rows)
 from .policy import AutoscalerPolicy, FleetObservation, ScaleEvent
 from .slo import (ADMIT, AdmissionController, BACKPRESSURE, DOWN,
                   PriorityQueue, SHED, SLOClass)
@@ -87,10 +87,14 @@ class DisaggPipelineServer:
         self.g_decode = g_decode
         self.n_ranks = g_prefill + g_decode
         self.max_batch = max_batch
-        self.pipeline_limit = max(1, pipeline_limit if pipeline_limit
-                                  is not None else g_decode)
-        self.prefill_limit = max(1, prefill_limit if prefill_limit
-                                 is not None else g_prefill)
+        if pipeline_limit is not None and pipeline_limit < 1:
+            raise ValueError("pipeline_limit must be >= 1")
+        if prefill_limit is not None and prefill_limit < 1:
+            raise ValueError("prefill_limit must be >= 1")
+        self.pipeline_limit = pipeline_limit if pipeline_limit is not None \
+            else g_decode
+        self.prefill_limit = prefill_limit if prefill_limit is not None \
+            else g_prefill
         self.max_active = max_active if max_active is not None \
             else max_batch * self.pipeline_limit
         if self.max_active < 1:
@@ -165,7 +169,7 @@ class DisaggPipelineServer:
                 req = pending.popleft()
                 stage.start_request(req.rid)
                 prompt = np.asarray(req.prompt, dtype=np.int64)[None, :]
-                out = stage.forward(req.rid, prompt)
+                out = stage.forward([req.rid], prompt)
                 pos, piece = stage.export_kv(req.rid)
                 stage.finish_request(req.rid)
                 if P == 1:
@@ -244,7 +248,7 @@ class DisaggPipelineServer:
             act_items = []
             for rid, act in pkt.data:
                 stage.start_request(rid)
-                out = stage.forward(rid, act)
+                out = stage.forward([rid], act)
                 _, piece = stage.export_kv(rid)
                 stage.finish_request(rid)
                 kv_items.append((rid, r, piece,
@@ -301,23 +305,24 @@ class DisaggPipelineServer:
                     transport.send(rank, rank + 1, TAG_INGEST,
                                    pkt.microbatch, pkt.data)
                 continue
-            # a decode group: first rank embeds raw tokens, the rest relay
-            # boundary activations; the tail samples.
-            items: List[Tuple[int, np.ndarray]] = []
+            # a decode group, one pass for all of it: the first rank embeds
+            # raw tokens, the rest relay boundary activations; the tail
+            # samples.
+            if j == 0:
+                rids = [rid for rid, _ in pkt.data]
+                x = np.asarray([[tok] for _, tok in pkt.data],
+                               dtype=np.int64)
+            else:
+                rids, x = stack_rows(pkt.data)
+            y = stage.forward(rids, x)
             out = []
-            for rid, payload in pkt.data:
-                x = np.asarray([[payload]], dtype=np.int64) if j == 0 \
-                    else payload
-                y = stage.forward(rid, x)
+            for i, rid in enumerate(rids):
                 left[rid] -= 1
                 if is_last:
                     req = reqs[rid]
-                    tok = sample_token(y[0, -1], req.temperature,
+                    tok = sample_token(y[i, -1], req.temperature,
                                        req.top_k, rngs[rid], req.greedy)
-                    done = left[rid] == 0
-                    out.append((rid, tok, done))
-                else:
-                    items.append((rid, y))
+                    out.append((rid, tok, left[rid] == 0))
                 if left[rid] == 0:
                     stage.finish_request(rid)
                     del left[rid]
@@ -327,7 +332,7 @@ class DisaggPipelineServer:
                 transport.send(rank, 0, TAG_TOKEN, pkt.microbatch, out)
             else:
                 transport.send(rank, rank + 1, TAG_ACT, pkt.microbatch,
-                               items)
+                               split_rows(rids, y))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ model — the property behind the Fig. 10 loss-curve equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -147,33 +147,64 @@ class CausalSelfAttention(Module):
         self._mask = mask
 
     def forward(self, x: Tensor,
-                cache: Optional[LayerKVCache] = None) -> Tensor:
+                caches: Optional[Sequence[LayerKVCache]] = None) -> Tensor:
+        """Attention over ``x`` (b, t, h).
+
+        ``caches`` split the ``b`` rows between them in order: one cache
+        holding every row for a single sequence batch, or one per row for
+        a decode group whose requests sit at different lengths.  The
+        projections run once on the stacked input; the attention core runs
+        per cache, over that cache's own length.
+        """
         b, t, h = x.shape
         nh, hd = self.cfg.n_head, self.cfg.head_dim
         qkv = self.qkv(x)  # (b, t, 3h)
         qkv = qkv.reshape(b, t, 3, nh, hd)
         qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, b, nh, t, hd)
         q, k, v = qkv[0], qkv[1], qkv[2]
-        past = 0
-        if cache is not None:
+        scale = 1.0 / np.sqrt(hd)
+        if caches is None:
+            # Fused scale + causal mask + softmax: one node instead of
+            # three.
+            att = F.masked_softmax(q @ k.swapaxes(-1, -2),
+                                   self._mask[:t, :t], scale=scale)
+            y = self.drop(att) @ v  # (b, nh, t, hd)
+        else:
             if is_grad_enabled():
                 raise RuntimeError(
                     "KV-cached attention is inference-only; wrap the call "
                     "in no_grad()")
-            past = cache.length
-            k_all, v_all = cache.extend(k.data, v.data)
-            k, v = Tensor(k_all), Tensor(v_all)
-        # Fused scale + causal mask + softmax: one node instead of three.
-        # Query rows past..past+t of the causal mask attend over all
-        # past+t cached keys, so the cached slice generalizes the
-        # from-scratch [:t, :t] case (past == 0).
-        att = F.masked_softmax(q @ k.swapaxes(-1, -2),
-                               self._mask[past:past + t, :past + t],
-                               scale=1.0 / np.sqrt(hd))  # (b, nh, t, past+t)
-        att = self.drop(att)
-        y = att @ v  # (b, nh, t, hd)
+            y = Tensor(self._cached_attention(q.data, k.data, v.data,
+                                              caches, scale))
         y = y.transpose(0, 2, 1, 3).reshape(b, t, h)
         return self.drop(self.proj(y))
+
+    def _cached_attention(self, q: np.ndarray, k: np.ndarray,
+                          v: np.ndarray, caches: Sequence[LayerKVCache],
+                          scale: float) -> np.ndarray:
+        """Append each cache's rows of ``k``/``v`` and attend over it.
+
+        Query rows ``past..past+t`` of the causal mask attend over all
+        ``past+t`` cached keys, so the cached slice generalizes the
+        from-scratch ``[:t, :t]`` case (``past == 0``).  Caches differ in
+        length, so each one is its own ``q @ k^T`` / softmax / ``@ v``.
+        """
+        t = q.shape[2]
+        ys = []
+        row = 0
+        for cache in caches:
+            rows = slice(row, row + cache.batch_size)
+            row = rows.stop
+            past = cache.length
+            k_all, v_all = cache.extend(k[rows], v[rows])
+            att = F.masked_softmax(Tensor(q[rows] @ k_all.swapaxes(-1, -2)),
+                                   self._mask[past:past + t, :past + t],
+                                   scale=scale)  # (rows, nh, t, past+t)
+            ys.append(self.drop(att).data @ v_all)
+        if row != q.shape[0]:
+            raise ValueError(
+                f"caches hold {row} rows, input has {q.shape[0]}")
+        return np.concatenate(ys)
 
 
 class MLP(Module):
@@ -201,8 +232,8 @@ class Block(Module):
         self.mlp = MLP(cfg, rng)
 
     def forward(self, x: Tensor,
-                cache: Optional[LayerKVCache] = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), cache=cache)
+                caches: Optional[Sequence[LayerKVCache]] = None) -> Tensor:
+        x = x + self.attn(self.ln1(x), caches=caches)
         x = x + self.mlp(self.ln2(x))
         return x
 
@@ -220,18 +251,23 @@ class GPTEmbedding(Module):
         self.pos = Embedding(cfg.seq_len, cfg.hidden, rng=rng, init_std=0.01)
         self.drop = Dropout(cfg.dropout, seed=int(rng.integers(2 ** 31)))
 
-    def forward(self, ids, pos_offset: int = 0) -> Tensor:
+    def forward(self, ids, pos_offset: Union[int, np.ndarray] = 0
+                ) -> Tensor:
+        """Embed ``ids`` (b, t).  ``pos_offset`` is the position of each
+        row's first token: one int for every row, or a length-``b`` array
+        (a decode group whose requests are at different positions)."""
         if isinstance(ids, Tensor):
             ids = ids.data
         ids = np.asarray(ids)
-        if ids.max() >= self.cfg.vocab_size:
+        if ids.min() < 0 or ids.max() >= self.cfg.vocab_size:
             raise ValueError("token id outside vocabulary")
         b, t = ids.shape
-        if pos_offset + t > self.cfg.seq_len:
+        # (t,) for an int offset, (b, t) for per-row offsets
+        positions = np.asarray(pos_offset)[..., None] + np.arange(t)
+        if positions.max() >= self.cfg.seq_len:
             raise ValueError(
-                f"positions {pos_offset}..{pos_offset + t} exceed "
+                f"positions up to {positions.max() + 1} exceed "
                 f"seq_len {self.cfg.seq_len}")
-        positions = np.arange(pos_offset, pos_offset + t)
         return self.drop(self.tok(ids) + self.pos(positions))
 
 
@@ -303,7 +339,7 @@ class GPT(Module):
         offset = cache.length if cache is not None else 0
         x = self.embedding(ids, pos_offset=offset)
         for i, blk in enumerate(self.blocks):
-            x = blk(x, cache=None if cache is None else cache.blocks[i])
+            x = blk(x, caches=None if cache is None else [cache.blocks[i]])
         logits = self.head(x)
         loss = F.cross_entropy(logits, targets) if targets is not None else None
         return logits, loss

@@ -195,8 +195,9 @@ class InferenceStage:
     training stage would — the serial/pipeline numerical-equivalence
     property carries over to inference verbatim.  Instead of autograd
     bookkeeping, each in-flight *request* owns per-block
-    :class:`~repro.nn.LayerKVCache` buffers: a decode step feeds only the
-    newest token's activation through the shard and attends over the cache.
+    :class:`~repro.nn.LayerKVCache` buffers: a decode group feeds each
+    request's newest token through the shard in one pass, and each row
+    attends over its own request's cache.
     Layers run in eval mode (dropout off), matching ``model.eval()`` on the
     serial side.
     """
@@ -230,12 +231,12 @@ class InferenceStage:
         return sum(c.nbytes for caches in self._caches.values()
                    for c in caches.values())
 
-    def start_request(self, rid: int, batch_size: int = 1) -> None:
+    def start_request(self, rid: int) -> None:
         if rid in self._caches:
             raise RuntimeError(f"request {rid} already in flight on stage "
                                f"{self.stage_index}")
         self._caches[rid] = {
-            li: LayerKVCache(self.cfg, batch_size)
+            li: LayerKVCache(self.cfg)
             for li, layer in enumerate(self.layers)
             if isinstance(layer, Block)
         }
@@ -280,31 +281,47 @@ class InferenceStage:
         self._pos[rid] = pos
 
     # -- execution ---------------------------------------------------------
-    def forward(self, rid: int, data: np.ndarray) -> np.ndarray:
-        """One forward-only pass for request ``rid``.
+    def forward(self, rids: Sequence[int], data: np.ndarray) -> np.ndarray:
+        """One forward-only pass for the group of requests ``rids``.
 
-        * first stage: ``data`` is an integer token array (b, t) — the
-          whole prompt at prefill, the single newest token at decode;
-        * other stages: ``data`` is the boundary activation from upstream;
+        Row ``i`` of ``data`` belongs to ``rids[i]``; every row carries the
+        same number ``t`` of new positions:
+
+        * first stage: ``data`` is an integer token array (b, t) — a
+          prompt at prefill (``b == 1``), each request's newest token at
+          decode (``t == 1``);
+        * other stages: ``data`` is the boundary activation (b, t, h) from
+          upstream;
         * last stage: returns logits (b, t, vocab).
+
+        Embedding, LayerNorms, projections, MLPs and the head run once on
+        the stacked rows; attention runs per request over its own KV cache
+        (see :meth:`repro.nn.CausalSelfAttention.forward`).  Every row is
+        bit-identical to the ``b == 1`` call for that request alone.
         """
-        if rid not in self._caches:
-            raise RuntimeError(f"request {rid} not started on stage "
-                               f"{self.stage_index}")
-        caches = self._caches[rid]
-        pos = self._pos[rid]
-        t = np.asarray(data).shape[1]
+        if len(set(rids)) != len(rids):
+            raise ValueError(f"duplicate request id in group {list(rids)}")
+        for rid in rids:
+            if rid not in self._caches:
+                raise RuntimeError(f"request {rid} not started on stage "
+                                   f"{self.stage_index}")
+        data = np.asarray(data)
+        if data.shape[0] != len(rids):
+            raise ValueError(f"group of {len(rids)} requests got "
+                             f"{data.shape[0]} rows")
+        caches = [self._caches[rid] for rid in rids]
+        pos = np.array([self._pos[rid] for rid in rids])
         with no_grad():
-            if self.is_first:
-                x = np.asarray(data)
-            else:
-                x = Tensor(np.asarray(data, dtype=np.float32))
+            x = data if self.is_first else \
+                Tensor(np.asarray(data, dtype=np.float32))
             for li, layer in enumerate(self.layers):
                 if isinstance(layer, GPTEmbedding):
                     x = layer(x, pos_offset=pos)
                 elif isinstance(layer, Block):
-                    x = layer(x, cache=caches[li])
+                    x = layer(x, caches=[c[li] for c in caches])
                 else:  # GPTHead
                     x = layer(x)
-        self._pos[rid] = pos + t
+        t = data.shape[1]
+        for rid in rids:
+            self._pos[rid] += t
         return x.data

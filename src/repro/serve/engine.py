@@ -8,14 +8,17 @@ prompt lengths and generation budgets, so the unit of scheduling is not a
 fixed microbatch but a **group**: either one prefill (the whole prompt in a
 single batched forward that fills the request's KV caches) or a batch of
 single-token decode steps for whatever requests currently have a token
-ready.  Rank 0 runs the continuous-batching scheduler; it admits a new
+ready.  Every stage runs a group as one
+:meth:`~repro.runtime.InferenceStage.forward` over the stacked rows.
+Rank 0 runs the continuous-batching scheduler; it admits a new
 request into the in-flight batch the moment a slot frees up, rather than
 waiting for the whole batch to drain (the Orca-style policy every modern
 LLM server uses).
 
 Numerics: each stage is an :class:`~repro.runtime.InferenceStage` built by
 the same ``build_layer`` slots as training, decode steps attend over
-per-request KV caches, and the final rank samples with the *shared*
+per-request KV caches (each row of a group is bit-identical to a
+forward of that request alone), and the final rank samples with the *shared*
 :func:`repro.nn.sample_token` from a per-request
 ``np.random.default_rng(seed)`` stream.  A request therefore receives
 bit-identical logits and consumes its RNG in exactly the same order as
@@ -37,11 +40,26 @@ from ..obs import RuntimeTracer
 from ..runtime.stage import InferenceStage
 from ..runtime.transport import RECV, RankTransport
 
-__all__ = ["Request", "PipelineServer", "TAG_ACT", "TAG_TOKEN", "TAG_STOP"]
+__all__ = ["Request", "PipelineServer", "TAG_ACT", "TAG_TOKEN", "TAG_STOP",
+           "stack_rows", "split_rows"]
 
 TAG_ACT = "serve-act"      #: downstream boundary-activation group
 TAG_TOKEN = "serve-token"  #: sampled tokens, last rank -> scheduler
 TAG_STOP = "serve-stop"    #: shutdown cascade once all requests finished
+
+
+def split_rows(rids: Sequence[int], out: np.ndarray
+               ) -> List[Tuple[int, np.ndarray]]:
+    """A group's stacked stage output as the ``TAG_ACT`` payload: one
+    ``(rid, row)`` item per request, each row a (1, t, ...) view."""
+    return [(rid, out[i:i + 1]) for i, rid in enumerate(rids)]
+
+
+def stack_rows(items: Sequence[Tuple[int, np.ndarray]]
+               ) -> Tuple[List[int], np.ndarray]:
+    """Inverse of :func:`split_rows`: the group's rids and stacked rows."""
+    return ([rid for rid, _ in items],
+            np.concatenate([row for _, row in items]))
 
 
 @dataclass(frozen=True)
@@ -115,8 +133,10 @@ class PipelineServer:
         self.cfg = cfg
         self.g_inter = g_inter
         self.max_batch = max_batch
-        self.pipeline_limit = max(1, pipeline_limit if pipeline_limit
-                                  is not None else g_inter)
+        if pipeline_limit is not None and pipeline_limit < 1:
+            raise ValueError("pipeline_limit must be >= 1")
+        self.pipeline_limit = pipeline_limit if pipeline_limit is not None \
+            else g_inter
         self.max_active = max_active if max_active is not None \
             else max_batch * self.pipeline_limit
         self.tracer = tracer
@@ -198,17 +218,18 @@ class PipelineServer:
                     n_tokens[req.rid] = 0
                     prompt = np.asarray(req.prompt,
                                         dtype=np.int64)[None, :]
-                    act = stage.forward(req.rid, prompt)
+                    act = stage.forward([req.rid], prompt)
                     transport.send(0, 1, TAG_ACT, seq, [(req.rid, act)])
                 elif ready:
-                    items: List[Tuple[int, np.ndarray]] = []
-                    for _ in range(min(len(ready), self.max_batch)):
-                        rid, tok = ready.popleft()
-                        step_t[rid] = self._now()
-                        act = stage.forward(
-                            rid, np.asarray([[tok]], dtype=np.int64))
-                        items.append((rid, act))
-                    transport.send(0, 1, TAG_ACT, seq, items)
+                    group = [ready.popleft()
+                             for _ in range(min(len(ready), self.max_batch))]
+                    rids = [rid for rid, _ in group]
+                    now = self._now()
+                    for rid in rids:
+                        step_t[rid] = now
+                    act = stage.forward(rids, np.asarray(
+                        [[tok] for _, tok in group], dtype=np.int64))
+                    transport.send(0, 1, TAG_ACT, seq, split_rows(rids, act))
                 else:
                     return
                 seq += 1
@@ -246,18 +267,19 @@ class PipelineServer:
             if pkt.tag == TAG_STOP:
                 transport.send(rank, rank + 1, TAG_STOP, 0, None)
                 return
-            items: List[Tuple[int, np.ndarray]] = []
-            for rid, act in pkt.data:
+            rids, acts = stack_rows(pkt.data)
+            for rid in rids:
                 if rid not in counts:
                     stage.start_request(rid)
                     counts[rid] = 0
+            out = stage.forward(rids, acts)
+            for rid in rids:
                 counts[rid] += 1
-                out = stage.forward(rid, act)
                 if counts[rid] >= reqs[rid].max_new_tokens:
                     stage.finish_request(rid)
                     del counts[rid]
-                items.append((rid, out))
-            transport.send(rank, rank + 1, TAG_ACT, pkt.microbatch, items)
+            transport.send(rank, rank + 1, TAG_ACT, pkt.microbatch,
+                           split_rows(rids, out))
 
     def _tail_program(self, transport: RankTransport,
                       reqs: Dict[int, Request]) -> Generator:
@@ -270,16 +292,18 @@ class PipelineServer:
             pkt = yield RECV
             if pkt.tag == TAG_STOP:
                 return
-            out: List[Tuple[int, int, bool]] = []
-            for rid, act in pkt.data:
-                req = reqs[rid]
+            rids, acts = stack_rows(pkt.data)
+            for rid in rids:
                 if rid not in counts:
                     stage.start_request(rid)
                     counts[rid] = 0
-                    rngs[rid] = np.random.default_rng(req.seed)
+                    rngs[rid] = np.random.default_rng(reqs[rid].seed)
+            logits = stage.forward(rids, acts)
+            out: List[Tuple[int, int, bool]] = []
+            for i, rid in enumerate(rids):
+                req = reqs[rid]
                 counts[rid] += 1
-                logits = stage.forward(rid, act)
-                tok = sample_token(logits[0, -1], req.temperature,
+                tok = sample_token(logits[i, -1], req.temperature,
                                    req.top_k, rngs[rid], req.greedy)
                 done = counts[rid] >= req.max_new_tokens
                 if done:
@@ -301,7 +325,7 @@ class PipelineServer:
             context = np.asarray(req.prompt, dtype=np.int64)[None, :]
             for t in range(req.max_new_tokens):
                 t0 = self._now()
-                logits = stage.forward(req.rid, context)
+                logits = stage.forward([req.rid], context)
                 tok = sample_token(logits[0, -1], req.temperature,
                                    req.top_k, rng, req.greedy)
                 results[req.rid].append(tok)

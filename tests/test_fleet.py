@@ -104,6 +104,10 @@ class TestDisaggTokenEquivalence:
             reqs = [Request(rid=1, prompt=np.array([2]), max_new_tokens=1)
                     for _ in range(2)]
             DisaggPipelineServer(CFG).serve(reqs)
+        for knob in ("pipeline_limit", "prefill_limit"):
+            for bad in (0, -1):
+                with pytest.raises(ValueError, match=knob):
+                    DisaggPipelineServer(CFG, **{knob: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,11 @@ class TestCachedForward:
         with pytest.raises(RuntimeError, match="no_grad|inference"):
             model(ids, cache=KVCache(CFG, 1))
 
+    def test_negative_token_id_rejected(self):
+        # NumPy would otherwise wrap -1 to the last embedding row
+        with pytest.raises(ValueError, match="vocabulary"):
+            GPT(CFG)(np.array([[-1, 3]]))
+
     def test_position_offset_out_of_range(self):
         model = GPT(CFG)
         model.eval()

@@ -9,7 +9,10 @@ import pytest
 from repro.analysis.protocol import TraceRecorder, verify_trace
 from repro.nn import GPT, GPTConfig, generate
 from repro.obs import RuntimeTracer
+from repro.runtime.stage import InferenceStage
+from repro.runtime.transport import RankTransport
 from repro.serve import PipelineServer, Request, RequestSpec, make_requests
+from repro.serve.engine import TAG_ACT
 
 CFG = GPTConfig(vocab_size=31, seq_len=32, n_layer=4, n_head=2, hidden=12)
 
@@ -105,6 +108,9 @@ class TestValidation:
             PipelineServer(CFG, max_batch=0)
         with pytest.raises(ValueError):
             PipelineServer(CFG, max_active=0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="pipeline_limit"):
+                PipelineServer(CFG, g_inter=2, pipeline_limit=bad)
 
 
 class TestObservability:
@@ -148,3 +154,77 @@ class TestProtocol:
                        recorder=recorder).serve(requests)
         assert verify_trace(recorder) == []
         assert recorder.events
+
+
+class TestGroupForward:
+    """``InferenceStage.forward`` over a decode group must give every row
+    exactly (not approximately) what the ``b == 1`` call gives it."""
+
+    @staticmethod
+    def _pipeline(g_inter=3):
+        return [InferenceStage(CFG, i, g_inter) for i in range(g_inter)]
+
+    @staticmethod
+    def _run(stages, rids, x):
+        outs = []
+        for stage in stages:
+            x = stage.forward(rids, x)
+            outs.append(x)
+        return outs
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 8])
+    def test_rows_bit_identical_to_single_request_calls(self, b):
+        rng = np.random.default_rng(b)
+        grouped, single = self._pipeline(), self._pipeline()
+        rids = list(range(10, 10 + b))
+        for rid in rids:
+            # prompts of different lengths: rows sit at different cache
+            # lengths for the whole test
+            prompt = rng.integers(0, CFG.vocab_size, (1, 1 + 3 * (rid % 4)))
+            for stages in (grouped, single):
+                for stage in stages:
+                    stage.start_request(rid)
+                self._run(stages, [rid], prompt)
+        for _ in range(4):
+            toks = rng.integers(0, CFG.vocab_size, (b, 1))
+            outs = self._run(grouped, rids, toks)
+            assert outs[-1].shape == (b, 1, CFG.vocab_size)
+            for i, rid in enumerate(rids):
+                # first, mid and last stage outputs all match exactly
+                for got, want in zip(outs,
+                                     self._run(single, [rid], toks[i:i + 1])):
+                    assert np.array_equal(got[i:i + 1], want), rid
+
+    def test_duplicate_rid_in_group_rejected(self):
+        stage = InferenceStage(CFG, 0, 2)
+        stage.start_request(0)
+        stage.forward([0], np.array([[1, 2]]))
+        with pytest.raises(ValueError, match="duplicate"):
+            stage.forward([0, 0], np.array([[3], [4]]))
+
+    def test_one_forward_per_act_packet(self, monkeypatch):
+        """Each stage of a 2-stage server runs one forward per TAG_ACT
+        packet: rank 0 per packet it sends, rank 1 per packet it gets."""
+        acts = []
+        send = RankTransport.send
+
+        def counting_send(self, src, dst, tag, microbatch, data=None):
+            if tag == TAG_ACT:
+                acts.append(len(data))
+            return send(self, src, dst, tag, microbatch, data)
+
+        monkeypatch.setattr(RankTransport, "send", counting_send)
+        server = PipelineServer(CFG, g_inter=2, max_batch=4)
+        calls = [0, 0]
+        for i, stage in enumerate(server.stages):
+            def counted(rids, x, forward=stage.forward, i=i):
+                calls[i] += 1
+                return forward(rids, x)
+            monkeypatch.setattr(stage, "forward", counted)
+        requests = make_requests(
+            CFG, 6, RequestSpec(mean_prompt=4, mean_new_tokens=6, seed=4))
+        got = server.serve(requests)
+        expected = serial_reference(CFG, requests)
+        assert all(np.array_equal(got[r], expected[r]) for r in expected)
+        assert max(acts) > 1  # decode groups really were batched
+        assert calls == [len(acts), len(acts)]
