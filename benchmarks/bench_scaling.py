@@ -32,7 +32,6 @@ of them as its baseline.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Dict
@@ -46,6 +45,7 @@ import bench_wallclock  # noqa: E402  (needs the path tweak above)
 from repro.nn import GPTConfig  # noqa: E402
 from repro.perf import time_fn  # noqa: E402
 from repro.runtime import AxoNNTrainer  # noqa: E402
+from repro.runtime.parallel import available_cores as cores  # noqa: E402
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
 
@@ -56,13 +56,6 @@ BATCH_SIZE = 16          # fixed global batch: strong scaling
 MICROBATCH = 2
 RANK_COUNTS = (1, 2, 4, 8)
 REPEATS = 3
-
-
-def cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def bench_backend(backend: str, ranks: int) -> Dict[str, float]:

@@ -12,9 +12,12 @@ The winning baseline file is printed per variant.  When
 deterministic DES tail latency, and when ``BENCH_PR6.json`` is present
 it re-measures one process-backend step (:mod:`bench_scaling`) and —
 only on machines with >= 4 cores — asserts the >= 2x scaling bar at 4
-ranks.  The scaling section is skipped (with a message) when this
+ranks.  That comparison is skipped (with a message) when this
 machine's core count differs from the one the baseline was recorded
 on, since process-backend times are not comparable across core counts.
+On any machine with >= 2 cores it also times process x1 and x2 in the
+same run and fails unless x2 is faster, whatever cores the baseline
+was recorded on.
 When ``BENCH_PR10.json`` is present the elastic-fleet DES is re-run and
 gated: the diurnal p99 TTFTs and replica-seconds must hold, and the
 structural acceptance bars — both elastic policies >= 25% cheaper than
@@ -293,11 +296,20 @@ def check_trainers(threshold: float, root: Path = REPO_ROOT) -> bool:
 
 
 def check_scaling(baseline_path: Path, threshold: float) -> bool:
-    """Gate the process-backend numbers against ``BENCH_PR6.json``.
+    """Gate the process-backend numbers when ``BENCH_PR6.json`` exists:
+    a same-run ratio, then the recorded step time.
 
-    Re-measures one 2-rank process-backend step and compares it with the
-    committed time.  Process-backend step time is a function of how many
-    workers actually run in parallel, so the whole section is comparable
+    The same-run gate compares nothing recorded: on a machine with >= 2
+    cores it times process x1 and x2 in three alternating rounds and
+    fails unless the x2 ``min_s`` is below the x1 ``min_s`` — two
+    workers with a core each must beat one.  Both sides run on this
+    machine in this run, so the ratio holds on any host; on one core the
+    workers time-slice a single CPU and the gate is skipped with a
+    message.
+
+    Then it re-measures one 2-rank process-backend step and compares it
+    with the committed time.  Process-backend step time is a function of
+    how many workers actually run in parallel, so that comparison holds
     only when this machine has the same core count the baseline was
     recorded on — otherwise it is skipped with a message rather than
     gating against an apples-to-oranges bar (a 1-core baseline looks
@@ -315,6 +327,22 @@ def check_scaling(baseline_path: Path, threshold: float) -> bool:
     baseline = json.loads(baseline_path.read_text())
 
     n_cores = bench_scaling.cores()
+    failed = False
+    if n_cores >= 2:
+        mins: Dict[int, list] = {1: [], 2: []}
+        for _round in range(3):  # alternate: host drift hits both sides
+            for ranks in mins:
+                mins[ranks].append(
+                    bench_scaling.bench_backend("process", ranks)["min_s"])
+        one, two = min(mins[1]), min(mins[2])
+        failed = not two < one
+        print(f"{'process x2/x1':>13}: {two:.4f}s vs {one:.4f}s "
+              f"({two / one:.2f}x, same run; target < 1.0x)  "
+              f"{'REGRESSION' if failed else 'ok'}")
+    else:
+        print(f"{'process x2/x1':>13}: skipped — {n_cores} core; two "
+              f"workers time-slice one CPU, so x2 cannot beat x1")
+
     recorded_cores = int(baseline.get("cores", 1))
     if n_cores != recorded_cores:
         print(f"{'scaling':>13}: skipped — baseline "
@@ -323,9 +351,8 @@ def check_scaling(baseline_path: Path, threshold: float) -> bool:
               f"times are not comparable across core counts.  Re-record "
               f"with `PYTHONPATH=src python benchmarks/bench_scaling.py` "
               f"to gate on this machine.")
-        return False
+        return failed
 
-    failed = False
     fresh = bench_scaling.bench_backend("process", 2)
     base_min = baseline["scaling"]["process"]["2"]["min_s"]
     ratio = fresh["min_s"] / base_min

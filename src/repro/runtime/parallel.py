@@ -40,6 +40,7 @@ wall-clock (``detect_timeout_s``).
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import signal
@@ -56,12 +57,13 @@ import numpy as np
 from ..analysis.protocol import ProtocolError, TraceRecorder
 from ..obs import RuntimeTracer, append_spans_jsonl
 from ..obs.schema import ObsSpan
-from .shm import RingAborted, ShmRing, attach_shared_memory
+from .shm import RingAborted, RingFull, ShmRing, attach_shared_memory
 from .transport import (BaseRankTransport, DeadlockError, Packet, RECV,
                         RankFailure, TimedRecv)
 
 __all__ = ["ProcessTransport", "ProcessBackend", "ProcessPool",
-           "ProgramSpec", "WorkerContext"]
+           "ProgramSpec", "WorkerContext", "available_cores",
+           "blas_thread_budget", "blas_threads"]
 
 # fork is the fast path (no module re-import per worker) and exists on
 # every Linux; everything shipped over the control pipes is picklable, so
@@ -85,6 +87,74 @@ _STATUS_WAITING_TIMED = 2
 
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
+
+
+#: (setter, getter) pairs of the OpenBLAS builds NumPy ships or links
+_OPENBLAS_THREAD_API = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def available_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has
+    one, else the machine's core count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def blas_thread_budget(cores: int, n_ranks: int, current: int) -> int:
+    """BLAS threads one of ``n_ranks`` workers may use on ``cores``: its
+    even share of the cores, never more than it inherited (so a lower
+    ``OPENBLAS_NUM_THREADS`` still wins), never less than one."""
+    return max(1, min(current, cores // n_ranks))
+
+
+def _openblas_thread_api() -> Optional[Tuple[Callable, Callable]]:
+    """``(set, get)`` thread-count functions of the loaded OpenBLAS, or
+    None when no OpenBLAS is mapped (MKL, Accelerate, non-Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line and line.rstrip().endswith(".so")}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_API:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """Threads the loaded OpenBLAS uses in this process, or None."""
+    api = _openblas_thread_api()
+    return None if api is None else int(api[1]())
+
+
+def _budget_blas_threads(n_ranks: int) -> None:
+    """Cap this worker's BLAS pool at its share of the cores.
+
+    A forked worker inherits the parent's already-initialised pool (one
+    thread per core), so ``n_ranks`` workers would run ``n_ranks x
+    cores`` BLAS threads; an environment variable set in the child comes
+    too late, hence the run-time call.  Without an OpenBLAS it is a no-op.
+    """
+    api = _openblas_thread_api()
+    if api is not None:
+        setter, getter = api
+        setter(blas_thread_budget(available_cores(), n_ranks, getter()))
 
 
 def _payload_ok(data: Any) -> bool:
@@ -346,6 +416,7 @@ def _worker_main(rank: int, n_ranks: int,
     ``{trace_dir}/rank{rank}.jsonl`` with the worker's real pid, so they
     survive a SIGKILL of this very process.
     """
+    _budget_blas_threads(n_ranks)
     out_rings = {dst: ShmRing.attach(name, cap)
                  for dst, (name, cap) in out_ring_names.items()}
     in_rings = {src: ShmRing.attach(name, cap)
@@ -722,7 +793,10 @@ class ProcessTransport(BaseRankTransport):
     def send(self, src: int, dst: int, tag: str, microbatch: int,
              data: Any = None) -> None:
         """Parent-side send: pre-seeds a channel before ``run`` (workers
-        send through their own endpoints while running)."""
+        send through their own endpoints while running).  No worker
+        drains a ring before ``run``, so a send that does not fit raises
+        :class:`~repro.runtime.shm.RingFull` at once instead of waiting
+        forever; the failed send is neither counted nor recorded."""
         self._check_rank(src)
         self._check_rank(dst)
         if src == dst:
@@ -735,8 +809,15 @@ class ProcessTransport(BaseRankTransport):
         ring = self.pool.rings.get((src, dst))
         if ring is None:
             raise ProtocolError(f"no channel {src} -> {dst}")
+        try:
+            # Abort at the first wait: with no consumer, room never comes.
+            ring.push((tag, microbatch, 0.0, data), abort=lambda: True)
+        except RingAborted:
+            raise RingFull(
+                f"channel {src} -> {dst} is full: no worker drains it "
+                f"before run(), so size ring_capacity for every "
+                f"pre-seeded message") from None
         self._next_send_seq()
-        ring.push((tag, microbatch, 0.0, data))
         self.messages_sent += 1
         if self.recorder is not None:
             self.recorder.record_send(src, dst, tag, microbatch)

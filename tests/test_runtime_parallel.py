@@ -11,10 +11,12 @@ here lives at the top of this module.
 import json
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
 
+from repro.analysis.protocol import TraceRecorder
 from repro.nn import GPTConfig
 from repro.obs import (RuntimeTracer, merge_rank_jsonl, read_spans_jsonl,
                        write_chrome_trace_multiprocess)
@@ -22,7 +24,8 @@ from repro.resilience import Fault, FaultPlan, ResilientTrainer, RetryPolicy
 from repro.runtime import (RECV, AxoNNTrainer, ProcessTransport, ProgramSpec,
                            RankFailure, RankTransport, ShmRing,
                            ring_allreduce)
-from repro.runtime.parallel import _payload_ok
+from repro.runtime.parallel import (_payload_ok, available_cores,
+                                    blas_thread_budget, blas_threads)
 from repro.runtime.shm import RingFull
 from repro.runtime.transport import ProtocolError
 
@@ -74,6 +77,11 @@ def suicide(rank, send):
         return pkt.data
     pkt = yield RECV
     os.kill(os.getpid(), signal.SIGKILL)  # never returns
+
+
+def worker_blas_threads(rank, send):
+    """The BLAS thread count the worker process runs with."""
+    return blas_threads()
 
 
 # -- ShmRing ------------------------------------------------------------------
@@ -236,6 +244,35 @@ class TestProcessTransport:
         finally:
             transport.close()
 
+    def test_parent_preseed_into_full_ring_raises(self):
+        recorder = TraceRecorder()
+        transport = ProcessTransport(2, ring_capacity=1024,
+                                     recorder=recorder)
+        outcome = {}
+
+        def preseed():
+            try:
+                for k in range(10):
+                    transport.send(0, 1, "act", k,
+                                   np.zeros(16, dtype=np.float32))
+            except RingFull as exc:
+                outcome["error"] = exc
+
+        try:
+            # No worker drains a ring before run(): a send that waited for
+            # room would wait forever, so it must raise at once instead.
+            thread = threading.Thread(target=preseed, daemon=True)
+            thread.start()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive(), "pre-seed send blocked"
+            assert "before run()" in str(outcome["error"])
+            sent = transport.messages_sent
+            assert 0 < sent < 10
+            assert len(recorder.sends()) == sent
+            assert transport.pending(1) == sent
+        finally:
+            transport.close()
+
     def test_payload_predicate(self):
         assert _payload_ok(np.arange(3))
         assert _payload_ok(3.5)
@@ -243,6 +280,44 @@ class TestProcessTransport:
         assert _payload_ok({"losses": [1.0]})
         assert not _payload_ok(lambda: 1)
         assert not _payload_ok((x for x in range(3)))
+
+
+# -- per-worker BLAS thread budget --------------------------------------------
+
+class TestBlasThreadBudget:
+    @pytest.mark.parametrize("cores,ranks,current,want", [
+        (2, 2, 2, 1), (8, 2, 8, 4), (2, 8, 2, 1), (8, 2, 1, 1)])
+    def test_budget_rule(self, cores, ranks, current, want):
+        assert blas_thread_budget(cores, ranks, current) == want
+
+    def test_worker_runs_its_share(self):
+        parent = blas_threads()
+        if parent is None:
+            pytest.skip("no OpenBLAS thread-count getter in this process")
+        want = blas_thread_budget(available_cores(), 2, parent)
+        programs = {r: ProgramSpec(worker_blas_threads) for r in range(2)}
+        transport = ProcessTransport(2)
+        try:
+            assert transport.run(programs) == {0: want, 1: want}
+            # A respawned worker (the recovery path) gets the same budget.
+            transport.pool.kill(1)
+            assert transport.pool.respawn_dead() == [1]
+            assert transport.run(programs) == {0: want, 1: want}
+        finally:
+            transport.close()
+
+    def test_parent_setting_untouched(self):
+        before = blas_threads()
+        transport = ProcessTransport(2)
+        try:
+            transport.pool.start()
+            # A finished run proves each worker applied its budget (it
+            # does so before taking its first command).
+            transport.run({r: ProgramSpec(compute_only, 0)
+                           for r in range(2)})
+            assert blas_threads() == before
+        finally:
+            transport.close()
 
 
 def test_ring_allreduce_process_backend_matches_cooperative():
