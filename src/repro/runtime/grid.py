@@ -20,7 +20,7 @@ gradient reduce-scatter exchanges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 __all__ = ["RankGrid"]
 
@@ -116,3 +116,32 @@ class RankGrid:
         """All ranks holding stage ``i`` at intra member ``t`` (the
         gradient all-reduce group; leads by default)."""
         return [self.rank_of(i, j, t) for j in range(self.g_data)]
+
+    # -- batch sharding -----------------------------------------------------
+    def split_batch(self, x: Any, y: Any, microbatch_size: int
+                    ) -> Tuple[List[List[Tuple[Any, Any]]], int]:
+        """Divide a batch into ``G_data`` shards, each into microbatches.
+
+        Returns (per-group microbatch lists of (x, y), total microbatches).
+        """
+        b = x.shape[0]
+        if b % self.g_data != 0:
+            raise ValueError(f"batch size {b} not divisible by "
+                             f"G_data={self.g_data}")
+        shard = b // self.g_data
+        if shard % microbatch_size != 0:
+            raise ValueError(
+                f"batch shard {shard} not divisible by microbatch size "
+                f"{microbatch_size}"
+            )
+        per_shard = shard // microbatch_size
+        groups = []
+        for j in range(self.g_data):
+            xs = x[j * shard:(j + 1) * shard]
+            ys = y[j * shard:(j + 1) * shard]
+            groups.append([
+                (xs[k * microbatch_size:(k + 1) * microbatch_size],
+                 ys[k * microbatch_size:(k + 1) * microbatch_size])
+                for k in range(per_shard)
+            ])
+        return groups, per_shard * self.g_data

@@ -1,11 +1,13 @@
 """Builders: the five shipped schedules expressed as pure data.
 
-Three re-express what the repo already runs — the AxoNN message-driven
-schedule (Algorithm 2, linearized by an abstract unit-cost simulation of
-its dispatch rule), 1F1B and GPipe (expanded from the op lists in
-:mod:`repro.baselines.schedules`, so the compiled programs are
-bit-identical to the hardcoded ``FlushingPipelineTrainer``).  Two are
-new and exist *only* as data: interleaved virtual-stage 1F1B
+Three re-express the repo's existing algorithms — the AxoNN message-
+driven schedule (Algorithm 2, linearized by an abstract unit-cost
+simulation of its dispatch rule), and the two flushing baselines 1F1B
+and GPipe (:func:`flushing_orders`, the per-rank compute orders the
+Megatron-LM/DeepSpeed DES walks too).  Compiled 1F1B/GPipe reproduce
+the retired hand-written flushing trainer's losses, weights and
+recorded trace (frozen as golden values in the tests).  Two exist
+*only* as data: interleaved virtual-stage 1F1B
 (``n_chunks`` chunks per rank, chunk placement ``stage % n_stages``)
 and a ZB-H1-style zero-bubble schedule (backward split into the input-
 gradient ``BWD`` and the deferred weight-gradient ``W``, which fills
@@ -24,13 +26,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..baselines.schedules import gpipe_schedule, one_f_one_b_schedule
 from .ir import (BWD, FWD, RECV_ACT, RECV_GRAD, SEND_ACT, SEND_GRAD, W,
                  Schedule, Task, required_deps, validate)
 
 __all__ = ["SCHEDULE_NAMES", "build_schedule", "schedule_chunks",
-           "axonn_ir", "one_f_one_b_ir", "gpipe_ir", "interleaved_ir",
-           "zero_bubble_ir"]
+           "flushing_orders", "axonn_ir", "one_f_one_b_ir", "gpipe_ir",
+           "interleaved_ir", "zero_bubble_ir"]
 
 
 def _expand_compute_order(name: str, n_stages: int, n_virtual: int,
@@ -42,9 +43,8 @@ def _expand_compute_order(name: str, n_stages: int, n_virtual: int,
     """Attach the canonical comm tasks to per-rank *compute* orders.
 
     Every cross-rank FWD/BWD gets its RECV immediately before and its
-    SEND immediately after — exactly the shape of the hardcoded
-    flushing rank program, which is what makes compiled-1F1B/GPipe
-    trace-identical to it.  Dependencies are materialized as the full
+    SEND immediately after — the shape of a blocking flushing rank
+    program, receive, compute, send.  Dependencies are materialized as the full
     dataflow-required edge set.
     """
     last = n_virtual - 1
@@ -84,30 +84,51 @@ def _expand_compute_order(name: str, n_stages: int, n_virtual: int,
 
 
 # ---------------------------------------------------------------------------
-# The two flushing baselines: straight from their existing op lists.
+# The two flushing baselines.
 # ---------------------------------------------------------------------------
 
+def flushing_orders(name: str, n_stages: int,
+                    n_microbatches: int) -> List[List[Task]]:
+    """Per-rank FWD/BWD order of a flushing schedule, without comm tasks.
+
+    ``"1f1b"`` (PipeDream-Flush, what Megatron-LM ships): rank *r* warms
+    up with ``S - 1 - r`` forwards, alternates one-forward-one-backward,
+    then drains — in-flight activations bounded by the pipeline depth.
+    ``"gpipe"``: all forwards, then all backwards — in-flight
+    activations grow with the microbatch count.  Unvalidated and cheap,
+    so the baseline DES walks it directly; :func:`build_schedule` wraps
+    it into a validated :class:`Schedule`.
+    """
+    if name not in ("1f1b", "gpipe"):
+        raise ValueError(f"unknown flushing schedule {name!r}")
+    if n_stages < 1 or n_microbatches < 1:
+        raise ValueError("need n_stages >= 1 and n_microbatches >= 1")
+    m = n_microbatches
+    orders: List[List[Task]] = []
+    for r in range(n_stages):
+        warmup = min(n_stages - 1 - r, m) if name == "1f1b" else m
+        order = [Task(FWD, r, mb) for mb in range(warmup)]
+        for k in range(m - warmup):
+            order += [Task(FWD, r, warmup + k), Task(BWD, r, k)]
+        order += [Task(BWD, r, mb) for mb in range(m - warmup, m)]
+        orders.append(order)
+    return orders
+
+
 def one_f_one_b_ir(n_stages: int, n_microbatches: int) -> Schedule:
-    """1F1B re-expressed in the IR (compiles bit-identical to the
-    hardcoded trainer; peak residency on rank r is ``n_stages - r``)."""
-    orders = [[Task(FWD if kind == "F" else BWD, stage, mb)
-               for kind, mb in one_f_one_b_schedule(stage, n_stages,
-                                                    n_microbatches)]
-              for stage in range(n_stages)]
+    """1F1B in the IR (peak residency on rank r is ``n_stages - r``)."""
     return _expand_compute_order(
-        "1f1b", n_stages, n_stages, n_microbatches, orders,
+        "1f1b", n_stages, n_stages, n_microbatches,
+        flushing_orders("1f1b", n_stages, n_microbatches),
         activation_limit=n_stages)
 
 
 def gpipe_ir(n_stages: int, n_microbatches: int) -> Schedule:
-    """GPipe re-expressed in the IR: all forwards, flush, all backwards
-    (every microbatch resident at the flush point)."""
-    orders = [[Task(FWD if kind == "F" else BWD, stage, mb)
-               for kind, mb in gpipe_schedule(stage, n_stages,
-                                              n_microbatches)]
-              for stage in range(n_stages)]
+    """GPipe in the IR: all forwards, flush, all backwards (every
+    microbatch resident at the flush point)."""
     return _expand_compute_order(
-        "gpipe", n_stages, n_stages, n_microbatches, orders,
+        "gpipe", n_stages, n_stages, n_microbatches,
+        flushing_orders("gpipe", n_stages, n_microbatches),
         activation_limit=n_microbatches)
 
 

@@ -1,14 +1,16 @@
 """Compiler: lower a validated schedule to executable rank programs.
 
-Two lowerings share one task-walk semantics:
+One task walk (:func:`_walk`) serves both substrates; each backend
+supplies only its receive and send:
 
-* **cooperative** (:func:`lower_rank`): a generator over the two-plane
-  ``yield "F"`` / ``yield "B"`` protocol of the flushing baselines,
-  driven by the exact same pump.  Because the builders attach each
-  receive immediately before and each send immediately after its
-  compute task, the compiled 1F1B/GPipe programs replay the hardcoded
-  ``FlushingPipelineTrainer`` yield-for-yield — losses, weights and the
-  recorded trace event order are bit-identical (pinned by tests).
+* **cooperative** (:func:`lower_rank`): the two-plane ``yield "F"`` /
+  ``yield "B"`` protocol driven by :func:`pump_planes` — a static
+  schedule must receive the *specific* expected message, so forward and
+  backward traffic use separate inboxes (two MPI tags).  Because the
+  builders attach each receive immediately before and each send
+  immediately after its compute task, compiled 1F1B/GPipe reproduce the
+  retired hand-written flushing trainer's losses, weights and recorded
+  trace event order (frozen as golden values in the tests).
 
 * **process** (:func:`_sched_worker` + :meth:`ScheduledPipelineTrainer`
   with ``backend="process"``): a module-level worker program per rank
@@ -29,7 +31,7 @@ where zero-bubble's benefit is measured.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,53 +39,54 @@ from ..nn import AdamW, GPTConfig
 from ..runtime.grid import RankGrid
 from ..runtime.stage import PipelineStage
 from ..runtime.transport import RECV, RankTransport
-from ..baselines.functional_pipeline import FlushingPipelineTrainer
 from .builders import SCHEDULE_NAMES, build_schedule, schedule_chunks
 from .ir import (BWD, FWD, RECV_ACT, RECV_GRAD, SEND_ACT, SEND_GRAD,
                  Schedule, validate)
 
-__all__ = ["lower_rank", "plane_tag", "ScheduledPipelineTrainer"]
+__all__ = ["lower_rank", "plane_tag", "pump_planes",
+           "ScheduledPipelineTrainer"]
 
 
 def plane_tag(schedule: Schedule, plane: str, stage: int) -> str:
     """Wire tag for a message into virtual ``stage`` on ``plane``.
 
     The cooperative substrate always uses the bare plane ("F"/"B") — the
-    plane *is* the inbox, and single-chunk tags must match the flushing
-    trainer byte-for-byte.  The process substrate shares one FIFO per
-    channel, so multi-chunk schedules qualify the tag with the receiving
-    virtual stage to keep stash keys unambiguous.
+    plane *is* the inbox, and single-chunk tags stay the bare planes the
+    recorded golden traces carry.  The process substrate shares one FIFO
+    per channel, so multi-chunk schedules qualify the tag with the
+    receiving virtual stage to keep stash keys unambiguous.
     """
     if schedule.n_chunks == 1:
         return plane
     return f"{plane}@{stage}"
 
 
-def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
-               stages: Dict[int, object],
-               fwd_net, bwd_net,
-               microbatches: List[Tuple[np.ndarray, np.ndarray]],
-               total_microbatches: int) -> Generator:
-    """One rank's program under the cooperative two-plane protocol.
+def _walk(schedule: Schedule, grid: RankGrid, rank: int,
+          stages: Dict[int, object],
+          microbatches: List[Tuple[np.ndarray, np.ndarray]],
+          total_microbatches: int,
+          recv: Callable[[str, int, int], Generator],
+          send: Callable[[int, str, int, int, object], None]
+          ) -> Generator:
+    """The one task walk: execute ``rank``'s program order.
 
-    ``stages`` maps virtual stage -> stage object for the stages this
-    rank owns (symbolic stages work too — the model checker lowers the
-    very same way).  ``fwd_net``/``bwd_net`` need only ``send``; yields
-    are ``"F"``/``"B"`` plane waits resumed with the matching packet.
+    ``recv(plane, v, mb)`` is a generator returning the payload for
+    virtual stage ``v`` (it yields whatever the backend's wait protocol
+    needs); ``send(dst, plane, v, mb, data)`` ships a payload to rank
+    ``dst`` for its virtual stage ``v``.  ``stages`` maps virtual stage
+    -> stage object for the stages this rank owns (symbolic stages work
+    too — the model checker lowers the very same way).
     """
     i, j = grid.coord_of(rank)
-    order = schedule.rank_order[i]
     last = schedule.n_virtual - 1
     divisor = float(total_microbatches)
     held: Dict[Tuple[str, int, int], object] = {}
-    for task in order:
+    for task in schedule.rank_order[i]:
         v, mb = task.stage, task.mb
         if task.kind == RECV_ACT:
-            pkt = yield "F"
-            held[("act", v, mb)] = pkt.data
+            held[("act", v, mb)] = yield from recv("F", v, mb)
         elif task.kind == RECV_GRAD:
-            pkt = yield "B"
-            held[("grad", v, mb)] = pkt.data
+            held[("grad", v, mb)] = yield from recv("B", v, mb)
         elif task.kind == FWD:
             if v == 0:
                 data = microbatches[mb][0]
@@ -99,7 +102,7 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
                 held[("out", v, mb)] = stage.forward(mb, data)
         elif task.kind == SEND_ACT:
             dst = grid.rank_of(schedule.placement(v + 1), j)
-            fwd_net.send(rank, dst, "F", mb, held.pop(("out", v, mb)))
+            send(dst, "F", v + 1, mb, held.pop(("out", v, mb)))
         elif task.kind == BWD:
             if v == last:
                 grad = None
@@ -112,17 +115,108 @@ def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
                 held[("gin", v, mb)] = grad_in
         elif task.kind == SEND_GRAD:
             dst = grid.rank_of(schedule.placement(v - 1), j)
-            bwd_net.send(rank, dst, "B", mb, held.pop(("gin", v, mb)))
+            send(dst, "B", v - 1, mb, held.pop(("gin", v, mb)))
         # W: ordering-only here (see module docstring); the weight
         # gradient was materialized by the stage's full backward.
 
 
-class ScheduledPipelineTrainer:
-    """Train any valid IR schedule with the flushing trainer's numerics.
+def lower_rank(schedule: Schedule, grid: RankGrid, rank: int,
+               stages: Dict[int, object],
+               fwd_net, bwd_net,
+               microbatches: List[Tuple[np.ndarray, np.ndarray]],
+               total_microbatches: int) -> Generator:
+    """One rank's program under the cooperative two-plane protocol.
 
-    A drop-in peer of :class:`~repro.baselines.FlushingPipelineTrainer`
-    whose schedule is *data*: pass a shipped schedule name ("axonn",
-    "1f1b", "gpipe", "interleaved", "zb-h1") or a validated
+    ``fwd_net``/``bwd_net`` need only ``send``; yields are ``"F"``/``"B"``
+    plane waits resumed with the matching packet (see
+    :func:`pump_planes`).
+    """
+    def recv(plane: str, _v: int, _mb: int) -> Generator:
+        pkt = yield plane
+        return pkt.data
+
+    def send(dst: int, plane: str, _v: int, mb: int, data) -> None:
+        net = fwd_net if plane == "F" else bwd_net
+        net.send(rank, dst, plane, mb, data)
+
+    return _walk(schedule, grid, rank, stages, microbatches,
+                 total_microbatches, recv, send)
+
+
+def pump_planes(fwd_net: RankTransport, bwd_net: RankTransport,
+                programs: Dict[int, Generator]) -> None:
+    """Drive cooperative rank programs with *tag-aware* receives.
+
+    A rank program yields ``"F"`` or ``"B"`` to wait for the next
+    message of that tag; the pump pops from the matching transport
+    plane only.  (A message-driven scheduler would take whichever
+    arrives first — the structural difference between AxoNN and the
+    flushing baselines, here in executable form.)
+    """
+    live = dict(programs)
+    started = {r: False for r in live}
+    waiting: Dict[int, str] = {}
+
+    def try_pop(rank, tag):
+        net = fwd_net if tag == "F" else bwd_net
+        if net.inboxes[rank]:
+            pkt = net.inboxes[rank].popleft()
+            if net.recorder is not None:
+                net.recorder.record_recv(rank, pkt.src, pkt.tag,
+                                         pkt.microbatch)
+            return pkt
+        return None
+
+    while live:
+        progressed = False
+        for rank in sorted(live):
+            gen = live.get(rank)
+            if gen is None:
+                continue
+            while True:
+                if not started[rank]:
+                    try:
+                        request = next(gen)
+                        started[rank] = True
+                    except StopIteration:
+                        del live[rank]
+                        progressed = True
+                        break
+                elif rank in waiting:
+                    pkt = try_pop(rank, waiting[rank])
+                    if pkt is None:
+                        break
+                    del waiting[rank]
+                    try:
+                        request = gen.send(pkt)
+                    except StopIteration:
+                        del live[rank]
+                        progressed = True
+                        break
+                else:
+                    break
+                if request not in ("F", "B"):
+                    raise RuntimeError(
+                        "rank programs may only yield 'F' or 'B'")
+                waiting[rank] = request
+                progressed = True
+        if live and not progressed:
+            raise RuntimeError(
+                f"flushing pipeline deadlocked; stuck ranks: "
+                f"{sorted(live)}"
+            )
+
+
+class ScheduledPipelineTrainer:
+    """Static-schedule hybrid-parallel trainer: any valid IR schedule.
+
+    Megatron-LM and DeepSpeed run *pipelining with flushing* on a static
+    schedule (paper Section VIII); ``"1f1b"``/``"gpipe"`` execute exactly
+    that with real numerics, on the same :class:`PipelineStage` shards as
+    :class:`~repro.runtime.AxoNNTrainer`.  Flushing preserves strict
+    optimizer semantics, so losses coincide with AxoNN's and the serial
+    reference.  The schedule is *data*: pass a shipped schedule name
+    ("axonn", "1f1b", "gpipe", "interleaved", "zb-h1") or a validated
     :class:`~repro.sched.ir.Schedule` instance (e.g. a search winner).
     Virtual chunks build one :class:`PipelineStage` per virtual stage
     (``n_virtual`` must not exceed the model's layer count).
@@ -168,10 +262,6 @@ class ScheduledPipelineTrainer:
                     f"unknown schedule {schedule!r}; shipped: "
                     f"{', '.join(SCHEDULE_NAMES)}")
             self.n_virtual = schedule_chunks(schedule) * g_inter
-        if self.n_virtual > cfg.n_layer:
-            raise ValueError(
-                f"{self.n_virtual} virtual stages exceed the model's "
-                f"{cfg.n_layer} layers")
         if backend == "process" and cfg.dropout > 0:
             raise ValueError(
                 "process backend needs dropout=0.0 (stateless workers "
@@ -216,13 +306,11 @@ class ScheduledPipelineTrainer:
         return {v: self.stages[(v, j)] for v in range(self.n_virtual)
                 if v % self.grid.g_inter == i}
 
-    _split_batch = FlushingPipelineTrainer._split_batch
-    _pump = staticmethod(FlushingPipelineTrainer._pump)
-
     # ------------------------------------------------------------------
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
         """One scheduled pipeline pass + all-reduce + optimizer step."""
-        groups, total_mb = self._split_batch(x, y)
+        groups, total_mb = self.grid.split_batch(x, y,
+                                                 self.microbatch_size)
         sched = self._schedule_for(len(groups[0]))
         for stage in self.stages.values():
             stage.microbatch_losses.clear()
@@ -234,9 +322,10 @@ class ScheduledPipelineTrainer:
         else:
             self._run_cooperative(sched, groups, total_mb)
 
-        # Data-parallel all-reduce (sum), identical to the flushing
-        # baseline: one collective per parameter slot of each pipeline
-        # rank's column, recorded before the numeric loop.
+        # Data-parallel all-reduce (sum): one collective per parameter
+        # slot of each pipeline rank's column, recorded before the
+        # numeric loop — the plan AxoNNTrainer records, so the protocol
+        # verifier's column check applies unchanged.
         if self.grid.g_data > 1:
             for i in range(self.grid.g_inter):
                 column = self.grid.data_parallel_ranks(i)
@@ -276,7 +365,7 @@ class ScheduledPipelineTrainer:
             programs[rank] = lower_rank(
                 sched, self.grid, rank, self._rank_stages(rank),
                 fwd_net, bwd_net, groups[j], total_mb)
-        self._pump(fwd_net, bwd_net, programs)
+        pump_planes(fwd_net, bwd_net, programs)
 
     # -- process backend ---------------------------------------------------
     def _run_process(self, sched: Schedule, groups, total_mb: int):
@@ -330,11 +419,10 @@ def _sched_worker(rank: int, send, cfg: GPTConfig, sched: Schedule,
     walks the schedule under the single-FIFO ``yield RECV`` protocol
     (reordering through a (tag, microbatch) stash — ring arrival order
     is wall-time nondeterministic), and returns gradients and losses
-    for the parent to apply.  Same task-walk as :func:`lower_rank`, so
-    the numerics are bit-identical to the cooperative backend.
+    for the parent to apply.  Same :func:`_walk` as :func:`lower_rank`,
+    so the numerics are bit-identical to the cooperative backend.
     """
     grid = RankGrid(g_inter, g_data)
-    i, _j = grid.coord_of(rank)
     stages: Dict[int, PipelineStage] = {}
     for v, arrays in params.items():
         stage = PipelineStage(cfg, v, sched.n_virtual,
@@ -343,58 +431,21 @@ def _sched_worker(rank: int, send, cfg: GPTConfig, sched: Schedule,
             np.copyto(p.data, arr)
         stages[v] = stage
 
+    stash: Dict[Tuple[str, int], object] = {}
+
+    def recv(plane: str, v: int, mb: int) -> Generator:
+        tag = plane_tag(sched, plane, v)
+        while (tag, mb) not in stash:
+            pkt = yield RECV
+            stash[(pkt.tag, pkt.microbatch)] = pkt.data
+        return stash.pop((tag, mb))
+
+    def send_to(dst: int, plane: str, v: int, mb: int, data) -> None:
+        send(dst, plane_tag(sched, plane, v), mb, data)
+
     def program():
-        order = sched.rank_order[i]
-        last = sched.n_virtual - 1
-        divisor = float(total_mb)
-        held: Dict[Tuple[str, int, int], object] = {}
-        stash: Dict[Tuple[str, int], object] = {}
-
-        def recv(tag: str, mb: int):
-            while (tag, mb) not in stash:
-                pkt = yield RECV
-                stash[(pkt.tag, pkt.microbatch)] = pkt.data
-            return stash.pop((tag, mb))
-
-        for task in order:
-            v, mb = task.stage, task.mb
-            if task.kind == RECV_ACT:
-                held[("act", v, mb)] = yield from recv(
-                    plane_tag(sched, "F", v), mb)
-            elif task.kind == RECV_GRAD:
-                held[("grad", v, mb)] = yield from recv(
-                    plane_tag(sched, "B", v), mb)
-            elif task.kind == FWD:
-                if v == 0:
-                    data = microbatches[mb][0]
-                elif sched.crosses(v - 1):
-                    data = held.pop(("act", v, mb))
-                else:
-                    data = held.pop(("out", v - 1, mb))
-                if v == last:
-                    stages[v].forward(mb, data,
-                                      targets=microbatches[mb][1],
-                                      loss_divisor=divisor)
-                else:
-                    held[("out", v, mb)] = stages[v].forward(mb, data)
-            elif task.kind == SEND_ACT:
-                dst = grid.rank_of(sched.placement(v + 1), _j)
-                send(dst, plane_tag(sched, "F", v + 1), mb,
-                     held.pop(("out", v, mb)))
-            elif task.kind == BWD:
-                if v == last:
-                    grad = None
-                elif sched.crosses(v):
-                    grad = held.pop(("grad", v, mb))
-                else:
-                    grad = held.pop(("gin", v + 1, mb))
-                grad_in = stages[v].backward(mb, grad)
-                if v > 0:
-                    held[("gin", v, mb)] = grad_in
-            elif task.kind == SEND_GRAD:
-                dst = grid.rank_of(sched.placement(v - 1), _j)
-                send(dst, plane_tag(sched, "B", v - 1), mb,
-                     held.pop(("gin", v, mb)))
+        yield from _walk(sched, grid, rank, stages, microbatches, total_mb,
+                         recv, send_to)
         last_v = sched.n_virtual - 1
         return {
             "grads": {v: [None if p.grad is None else p.grad

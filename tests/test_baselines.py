@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 from repro.baselines import (
     ThreeDConfig,
     baseline_stage_costs,
-    bubble_fraction,
     check_baseline_memory,
-    gpipe_schedule,
-    max_inflight,
-    one_f_one_b_schedule,
     simulate_baseline_batch,
 )
 from repro.cluster import Machine, summit
 from repro.core import AxoNNConfig, WEAK_SCALING_MODELS, simulate_batch
+from repro.sched import (BWD, FWD, build_schedule, ir_bubble_fraction,
+                         peak_resident_activations)
 
 SPEC = WEAK_SCALING_MODELS["12B"]
 
@@ -34,63 +32,71 @@ def mg_cfg(**kw):
     return ThreeDConfig(**base)
 
 
+def compute_order(name, stage, n_stages, m):
+    """``(kind, microbatch)`` of rank ``stage``'s compute tasks in the
+    built IR schedule (the order the baseline DES walks too)."""
+    sched = build_schedule(name, n_stages, m)
+    return [(t.kind, t.mb) for t in sched.rank_order[stage]
+            if t.kind in (FWD, BWD)]
+
+
 class TestSchedules:
     def test_1f1b_ops_complete(self):
         for stage in range(4):
-            ops = one_f_one_b_schedule(stage, 4, 8)
-            fwd = [mb for kind, mb in ops if kind == "F"]
-            bwd = [mb for kind, mb in ops if kind == "B"]
+            ops = compute_order("1f1b", stage, 4, 8)
+            fwd = [mb for kind, mb in ops if kind == FWD]
+            bwd = [mb for kind, mb in ops if kind == BWD]
             assert fwd == list(range(8))
             assert bwd == list(range(8))
 
     def test_1f1b_backward_never_precedes_forward(self):
-        ops = one_f_one_b_schedule(1, 4, 8)
+        ops = compute_order("1f1b", 1, 4, 8)
         seen_f = set()
         for kind, mb in ops:
-            if kind == "F":
+            if kind == FWD:
                 seen_f.add(mb)
             else:
                 assert mb in seen_f
 
     def test_1f1b_warmup_depth(self):
         # Stage 0 of 4 warms up with 3 forwards before its first backward.
-        ops = one_f_one_b_schedule(0, 4, 8)
-        first_b = next(i for i, (k, _) in enumerate(ops) if k == "B")
+        ops = compute_order("1f1b", 0, 4, 8)
+        first_b = next(i for i, (k, _) in enumerate(ops) if k == BWD)
         assert first_b == 4  # 3 warmup F + 1 steady F
 
     def test_last_stage_alternates(self):
-        ops = one_f_one_b_schedule(3, 4, 4)
-        assert ops == [("F", 0), ("B", 0), ("F", 1), ("B", 1),
-                       ("F", 2), ("B", 2), ("F", 3), ("B", 3)]
+        ops = compute_order("1f1b", 3, 4, 4)
+        assert ops == [(FWD, 0), (BWD, 0), (FWD, 1), (BWD, 1),
+                       (FWD, 2), (BWD, 2), (FWD, 3), (BWD, 3)]
 
     def test_1f1b_inflight_bounded_by_depth(self):
-        for stage in range(6):
-            ops = one_f_one_b_schedule(stage, 6, 32)
-            assert max_inflight(ops) <= 6 - stage
+        peaks = peak_resident_activations(build_schedule("1f1b", 6, 32))
+        for stage, peak in enumerate(peaks):
+            assert peak <= 6 - stage
 
     def test_gpipe_inflight_grows_with_microbatches(self):
-        ops = gpipe_schedule(0, 4, 32)
-        assert max_inflight(ops) == 32
+        peaks = peak_resident_activations(build_schedule("gpipe", 4, 32))
+        assert peaks[0] == 32
 
     def test_gpipe_ops_complete(self):
-        ops = gpipe_schedule(2, 4, 5)
+        ops = compute_order("gpipe", 2, 4, 5)
         assert len(ops) == 10
 
     def test_bubble_fraction(self):
-        assert bubble_fraction(4, 4) == pytest.approx(3 / 7)
-        assert bubble_fraction(1, 8) == 0.0
+        assert ir_bubble_fraction(4, 4) == pytest.approx(3 / 7)
+        assert ir_bubble_fraction(1, 8) == 0.0
         # More microbatches amortize the bubble.
-        assert bubble_fraction(8, 256) < bubble_fraction(8, 16)
+        assert ir_bubble_fraction(8, 256) < ir_bubble_fraction(8, 16)
 
     def test_schedule_bounds(self):
         with pytest.raises(ValueError):
-            one_f_one_b_schedule(4, 4, 8)
+            build_schedule("1f1b", 0, 8)
         with pytest.raises(ValueError):
-            one_f_one_b_schedule(0, 4, 0)
+            build_schedule("1f1b", 4, 0)
         with pytest.raises(ValueError):
-            gpipe_schedule(-1, 4, 8)
+            build_schedule("gpipe", 0, 8)
         with pytest.raises(ValueError):
-            bubble_fraction(0, 4)
+            ir_bubble_fraction(0, 4)
 
     @given(stage=st.integers(0, 7), stages=st.integers(1, 8),
            m=st.integers(1, 40))
@@ -98,9 +104,9 @@ class TestSchedules:
     def test_1f1b_property_all_microbatches_once(self, stage, stages, m):
         if stage >= stages:
             return
-        ops = one_f_one_b_schedule(stage, stages, m)
-        assert sorted(mb for k, mb in ops if k == "F") == list(range(m))
-        assert sorted(mb for k, mb in ops if k == "B") == list(range(m))
+        ops = compute_order("1f1b", stage, stages, m)
+        assert sorted(mb for k, mb in ops if k == FWD) == list(range(m))
+        assert sorted(mb for k, mb in ops if k == BWD) == list(range(m))
 
 
 class TestConfig:
@@ -147,7 +153,32 @@ class TestStageCosts:
         assert costs[0].fwd_collective_s == 0.0
 
 
+#: ``simulate_baseline_batch(...).pipeline_s`` recorded when the DES
+#: walked the hand-written baseline op lists, before they were replaced
+#: by the IR builders' ``flushing_orders``; keyed by (framework,
+#: schedule, compute_jitter) with ``jitter_seed=3``.
+PIPELINE_S_GOLDENS = {
+    ("megatron", "1f1b", 0.0): 19.409297571412583,
+    ("megatron", "1f1b", 0.05): 19.398868237256494,
+    ("megatron", "gpipe", 0.0): 19.409297571412555,
+    ("megatron", "gpipe", 0.05): 19.41221014955975,
+    ("deepspeed", "1f1b", 0.0): 15.328592107980935,
+    ("deepspeed", "1f1b", 0.05): 15.411478236272256,
+    ("deepspeed", "gpipe", 0.0): 15.328592107980946,
+    ("deepspeed", "gpipe", 0.05): 15.29348086716511,
+}
+
+
 class TestSimulation:
+    @pytest.mark.parametrize("key", sorted(PIPELINE_S_GOLDENS),
+                             ids=lambda k: "-".join(map(str, k)))
+    def test_pipeline_s_matches_golden(self, key):
+        framework, schedule, jitter = key
+        make = mg_cfg if framework == "megatron" else ds_cfg
+        cfg = make(schedule=schedule, compute_jitter=jitter, jitter_seed=3)
+        assert simulate_baseline_batch(cfg).pipeline_s == \
+            PIPELINE_S_GOLDENS[key]
+
     def test_phases_positive(self):
         r = simulate_baseline_batch(ds_cfg())
         assert r.pipeline_s > 0

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import (TraceRecorder, check_match_order,
                             check_unmatched_sends)
-from repro.baselines import FlushingPipelineTrainer
 from repro.nn import GPTConfig
 from repro.runtime import AxoNNTrainer, SerialTrainer
+from repro.sched import ScheduledPipelineTrainer
 
 CFG = GPTConfig(vocab_size=13, seq_len=6, n_layer=3, n_head=2, hidden=8,
                 dropout=0.0, init_seed=77)
@@ -39,18 +39,19 @@ GRIDS = [
     grid=st.sampled_from(GRIDS),
     seed=st.integers(0, 10_000),
     flushing=st.booleans(),
+    schedule=st.sampled_from(["1f1b", "gpipe"]),
 )
 @settings(max_examples=25, deadline=None)
-def test_any_decomposition_matches_serial(grid, seed, flushing):
+def test_any_decomposition_matches_serial(grid, seed, flushing, schedule):
     g_inter, g_data, mbs, batch = grid
     rng = np.random.default_rng(seed)
     x = rng.integers(0, CFG.vocab_size, (batch, CFG.seq_len))
     y = rng.integers(0, CFG.vocab_size, (batch, CFG.seq_len))
     serial = SerialTrainer(CFG, lr=1e-3)
     if flushing and g_inter > 1:
-        parallel = FlushingPipelineTrainer(
+        parallel = ScheduledPipelineTrainer(
             CFG, g_inter=g_inter, g_data=g_data, microbatch_size=mbs,
-            lr=1e-3)
+            lr=1e-3, schedule=schedule)
         parallel_loss = parallel.train_batch(x, y)
     else:
         trainer = AxoNNTrainer(CFG, g_inter=g_inter, g_data=g_data,

@@ -1,12 +1,13 @@
-"""Tests for the functional 1F1B / GPipe flushing trainer — the baselines'
-pipeline algorithm with real numerics."""
+"""Tests for the compiled 1F1B / GPipe flushing schedules — the
+baselines' pipeline algorithm with real numerics, run by
+:class:`~repro.sched.ScheduledPipelineTrainer`."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import FlushingPipelineTrainer
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
 from repro.runtime import AxoNNTrainer, SerialTrainer
+from repro.sched import ScheduledPipelineTrainer
 
 CFG = GPTConfig(vocab_size=19, seq_len=8, n_layer=4, n_head=2, hidden=12,
                 dropout=0.0, init_seed=11)
@@ -20,9 +21,9 @@ def make_batches(batch_size=8, seed=0):
 class TestFlushingTrainer:
     def test_invalid_schedule(self):
         with pytest.raises(ValueError):
-            FlushingPipelineTrainer(CFG, 2, 1, 2, schedule="wave")
+            ScheduledPipelineTrainer(CFG, 2, 1, 2, schedule="wave")
         with pytest.raises(ValueError):
-            FlushingPipelineTrainer(CFG, 2, 1, 0)
+            ScheduledPipelineTrainer(CFG, 2, 1, 0)
 
     @pytest.mark.parametrize("schedule", ["1f1b", "gpipe"])
     @pytest.mark.parametrize("g_inter,g_data,mbs", [
@@ -33,9 +34,9 @@ class TestFlushingTrainer:
         the serial reference at every grid shape."""
         batches = make_batches()
         serial = SerialTrainer(CFG, lr=1e-3)
-        flush = FlushingPipelineTrainer(CFG, g_inter=g_inter, g_data=g_data,
-                                        microbatch_size=mbs, lr=1e-3,
-                                        schedule=schedule)
+        flush = ScheduledPipelineTrainer(CFG, g_inter=g_inter,
+                                         g_data=g_data, microbatch_size=mbs,
+                                         lr=1e-3, schedule=schedule)
         for i in range(3):
             x, y = batches.batch(i)
             s = serial.train_batch(x, y)
@@ -49,8 +50,8 @@ class TestFlushingTrainer:
         batches = make_batches()
         axonn = AxoNNTrainer(CFG, g_inter=2, g_data=2, microbatch_size=2,
                              lr=1e-3)
-        flush = FlushingPipelineTrainer(CFG, g_inter=2, g_data=2,
-                                        microbatch_size=2, lr=1e-3)
+        flush = ScheduledPipelineTrainer(CFG, g_inter=2, g_data=2,
+                                         microbatch_size=2, lr=1e-3)
         for i in range(3):
             x, y = batches.batch(i)
             a = axonn.train_batch(x, y).loss
@@ -64,31 +65,25 @@ class TestFlushingTrainer:
 
     def test_gpipe_equals_1f1b_numerically(self):
         batches = make_batches()
-        a = FlushingPipelineTrainer(CFG, 3, 1, 1, schedule="1f1b")
-        b = FlushingPipelineTrainer(CFG, 3, 1, 1, schedule="gpipe")
+        a = ScheduledPipelineTrainer(CFG, 3, 1, 1, schedule="1f1b")
+        b = ScheduledPipelineTrainer(CFG, 3, 1, 1, schedule="gpipe")
         for i in range(2):
             x, y = batches.batch(i)
             la = a.train_batch(x, y)
             lb = b.train_batch(x, y)
             assert la == pytest.approx(lb, rel=1e-6)
 
-    def test_batch_divisibility_checked(self):
-        t = FlushingPipelineTrainer(CFG, 2, 2, 2)
-        x = np.zeros((6, CFG.seq_len), dtype=np.int64)
-        with pytest.raises(ValueError):
-            t.train_batch(x, x)
-
     def test_checkpointed_flush_matches(self):
         batches = make_batches()
-        plain = FlushingPipelineTrainer(CFG, 2, 1, 2)
-        ckpt = FlushingPipelineTrainer(CFG, 2, 1, 2,
-                                       checkpoint_activations=True)
+        plain = ScheduledPipelineTrainer(CFG, 2, 1, 2)
+        ckpt = ScheduledPipelineTrainer(CFG, 2, 1, 2,
+                                        checkpoint_activations=True)
         x, y = batches.batch(0)
         assert ckpt.train_batch(x, y) == pytest.approx(
             plain.train_batch(x, y), rel=1e-5)
 
     def test_training_converges(self):
         batches = make_batches()
-        t = FlushingPipelineTrainer(CFG, 2, 2, 2, lr=5e-3)
+        t = ScheduledPipelineTrainer(CFG, 2, 2, 2, lr=5e-3)
         losses = [t.train_batch(*batches.batch(i)) for i in range(15)]
         assert np.mean(losses[-3:]) < np.mean(losses[:3])

@@ -15,6 +15,7 @@ from repro.runtime import (
     partition_layers,
     state_dict_as_slots,
 )
+from repro.sched import ScheduledPipelineTrainer
 
 CFG = GPTConfig(vocab_size=19, seq_len=8, n_layer=4, n_head=2, hidden=12,
                 dropout=0.0, init_seed=11)
@@ -121,10 +122,18 @@ class TestPipelineStage:
 
 
 class TestTrainerMechanics:
-    def test_batch_divisibility_checked(self):
-        tr = AxoNNTrainer(CFG, g_inter=2, g_data=2, microbatch_size=2)
+    @pytest.mark.parametrize("trainer", [AxoNNTrainer,
+                                         ScheduledPipelineTrainer],
+                             ids=["axonn", "scheduled"])
+    def test_batch_divisibility_checked(self, trainer):
+        # Both trainers shard through RankGrid.split_batch.
+        tr = trainer(CFG, g_inter=2, g_data=2, microbatch_size=2)
+        x = np.zeros((5, CFG.seq_len), dtype=np.int64)
+        with pytest.raises(ValueError, match="not divisible by G_data=2"):
+            tr.train_batch(x, x)
         x = np.zeros((6, CFG.seq_len), dtype=np.int64)
-        with pytest.raises(ValueError, match="not divisible"):
+        with pytest.raises(ValueError, match="shard 3 not divisible by "
+                                             "microbatch size 2"):
             tr.train_batch(x, x)
 
     def test_microbatch_divisibility_checked(self):

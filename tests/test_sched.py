@@ -1,12 +1,13 @@
 """Tests for repro.sched — schedules as data (PR 9).
 
 The IR validator must reject malformed DAGs before anything runs; the
-compiler must reproduce the hardcoded flushing trainer bit-for-bit on
-both backends; the new schedules (interleaved, ZB-H1) must train to the
-same update and beat 1F1B's bubble; and every schedule the validator
-accepts must be provable by the model checker (the hypothesis fuzz at
-the bottom drives random perturbations through the full
-validate -> compile -> check pipeline).
+compiler must reproduce the retired hand-written flushing trainer's
+golden losses, weights and trace, and the process backend must match
+the cooperative one bit-for-bit; the new schedules (interleaved, ZB-H1)
+must train to the same update and beat 1F1B's bubble; and every
+schedule the validator accepts must be provable by the model checker
+(the hypothesis fuzz at the bottom drives random perturbations through
+the full validate -> compile -> check pipeline).
 """
 
 import dataclasses
@@ -18,8 +19,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import TraceRecorder
 from repro.analysis.model import check_model, scheduled_model
-from repro.baselines import FlushingPipelineTrainer
-from repro.baselines.schedules import bubble_fraction, max_inflight
 from repro.nn import GPTConfig, LMBatches, SyntheticCorpus
 from repro.sched import (
     FWD,
@@ -35,6 +34,9 @@ from repro.sched import (
 )
 from repro.sched.ir import Task
 from repro.sched.search import perturb, replay_winner, search_schedules
+
+from .pipeline_goldens import (LOSSES, TRACE_PER_BATCH, WEIGHTS,
+                               decode_trace, weight_checksums)
 
 CFG = GPTConfig(vocab_size=19, seq_len=8, n_layer=4, n_head=2, hidden=12,
                 dropout=0.0, init_seed=11)
@@ -141,58 +143,48 @@ class TestMetrics:
         assert peak_resident_activations(build_schedule("1f1b", 4, 8)) \
             == (4, 3, 2, 1)
 
+    def test_peak_resident_activations_released_by_w(self):
+        # With a split backward, BWD does not release the activation;
+        # only the deferred weight-gradient task W does.
+        sched = build_schedule("zb-h1", 2, 3)
+        ops = [("FWD", 0), ("FWD", 1), ("BWD", 0), ("FWD", 2), ("W", 0),
+               ("BWD", 1), ("W", 1), ("BWD", 2), ("W", 2)]
+        rank0 = tuple(Task(kind, 0, mb) for kind, mb in ops)
+        sched = dataclasses.replace(
+            sched, rank_order=(rank0,) + sched.rank_order[1:])
+        assert peak_resident_activations(sched)[0] == 3
 
-class TestBaselinesBridge:
-    """Satellite: baselines.schedules delegates to the IR metrics."""
-
-    def test_bubble_fraction_delegates_to_ir(self):
-        assert bubble_fraction(4, 8) == ir_bubble_fraction(4, 8, "1f1b")
-        assert bubble_fraction(2, 4, schedule="gpipe") == \
-            ir_bubble_fraction(2, 4, "gpipe")
-        with pytest.raises(ValueError):
-            bubble_fraction(0, 4)
-
-    def test_max_inflight_legacy_two_tuples(self):
-        assert max_inflight([("F", 0), ("F", 1), ("B", 0), ("B", 1)]) == 2
-        assert max_inflight([("F", 0), ("B", 0), ("F", 1), ("B", 1)]) == 1
-
-    def test_max_inflight_per_stage_with_w_split(self):
-        # B does not release the activation when a matching W exists;
-        # only the deferred weight-gradient task does.
-        ops = [("F", 0, 0), ("F", 0, 1), ("B", 0, 0), ("F", 0, 2),
-               ("W", 0, 0), ("B", 0, 1), ("W", 0, 1), ("B", 0, 2),
-               ("W", 0, 2)]
-        assert max_inflight(ops) == 3
-
-    def test_max_inflight_counts_stages_separately(self):
-        # Two virtual stages on one rank: the peak is per stage, not the
-        # raw F-minus-B running total across both.
-        ops = [("F", 0, 0), ("F", 2, 0), ("B", 2, 0), ("B", 0, 0)]
-        assert max_inflight(ops) == 1
+    def test_peak_counts_every_chunk_on_a_rank(self):
+        # Two virtual stages on one rank: both chunks' activations are
+        # resident at once, so the rank's peak is their sum.
+        sched = build_schedule("interleaved", 2, 2)
+        rank0 = (Task(FWD, 0, 0), Task(FWD, 2, 0), Task("BWD", 2, 0),
+                 Task("BWD", 0, 0))
+        sched = dataclasses.replace(
+            sched, rank_order=(rank0,) + sched.rank_order[1:])
+        assert peak_resident_activations(sched)[0] == 2
 
 
 class TestCompiledBitIdentity:
     @pytest.mark.parametrize("schedule", ["1f1b", "gpipe"])
     @pytest.mark.parametrize("g_inter,g_data,mbs", [(2, 1, 2), (4, 2, 1)])
     def test_matches_hardcoded_trainer(self, schedule, g_inter, g_data, mbs):
-        """Compiled-IR 1F1B/GPipe replay the hardcoded trainer exactly:
-        same losses, same weights, same communication trace."""
+        """Compiled-IR 1F1B/GPipe reproduce the retired hand-written
+        trainer's golden losses, weights and communication trace."""
         batches = make_batches()
-        rec_ref, rec_ir = TraceRecorder(), TraceRecorder()
-        ref = FlushingPipelineTrainer(CFG, g_inter, g_data, mbs,
-                                      schedule=schedule, recorder=rec_ref)
+        rec = TraceRecorder()
         comp = ScheduledPipelineTrainer(CFG, g_inter, g_data=g_data,
                                         microbatch_size=mbs,
-                                        schedule=schedule, recorder=rec_ir)
-        for i in range(3):
-            x, y = batches.batch(i)
-            assert comp.train_batch(x, y) == ref.train_batch(x, y)
-        ref_state, ir_state = ref.gather_state(), comp.gather_state()
-        assert ref_state.keys() == ir_state.keys()
-        for k in ref_state:
-            assert np.array_equal(ir_state[k], ref_state[k]), k
-        assert len(rec_ref.events) > 0
-        assert trace_tuples(rec_ir) == trace_tuples(rec_ref)
+                                        schedule=schedule, recorder=rec)
+        grid = (g_inter, g_data, mbs)
+        losses = [comp.train_batch(*batches.batch(i)) for i in range(3)]
+        assert losses == pytest.approx(LOSSES[grid], rel=1e-6)
+        sums = weight_checksums(comp.gather_state())
+        assert sums.keys() == WEIGHTS[grid].keys()
+        for k, golden in WEIGHTS[grid].items():
+            assert sums[k] == pytest.approx(golden, rel=1e-6), k
+        per_batch = decode_trace(TRACE_PER_BATCH[(schedule,) + grid])
+        assert trace_tuples(rec) == per_batch * 3
 
     def test_process_backend_bit_identical(self):
         batches = make_batches()
@@ -212,10 +204,11 @@ class TestCompiledBitIdentity:
 
     @pytest.mark.parametrize("name", ["axonn", "interleaved", "zb-h1"])
     def test_new_schedules_compute_the_same_update(self, name):
-        """Every schedule only reorders work: losses must equal the
-        flushing 1F1B baseline's exactly (finite by implication)."""
+        """Every schedule only reorders work: losses must equal compiled
+        1F1B's exactly (finite by implication)."""
         batches = make_batches()
-        ref = FlushingPipelineTrainer(CFG, 2, 1, 2, schedule="1f1b")
+        ref = ScheduledPipelineTrainer(CFG, 2, microbatch_size=2,
+                                       schedule="1f1b")
         cand = ScheduledPipelineTrainer(CFG, 2, microbatch_size=2,
                                         schedule=name)
         for i in range(2):
@@ -230,7 +223,7 @@ class TestCompiledBitIdentity:
         with pytest.raises(ValueError):  # built for 4 stages, trainer has 2
             ScheduledPipelineTrainer(CFG, 2,
                                      schedule=build_schedule("1f1b", 4, 4))
-        with pytest.raises(ValueError):  # 8 virtual stages > 4 layers
+        with pytest.raises(ValueError):  # 8 virtual stages > 6 slots
             ScheduledPipelineTrainer(CFG, 4, schedule="interleaved")
         wet = dataclasses.replace(CFG, dropout=0.1)
         with pytest.raises(ValueError):
